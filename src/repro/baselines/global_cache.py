@@ -20,7 +20,7 @@ import time
 from typing import List, Optional, Tuple
 
 from ..core.cache import PathCache, path_size_bytes
-from ..core.results import BatchAnswer
+from ..core.results import BatchAnswer, ComputedPaths
 from ..obs import record_cache
 from ..queries.query import Query, QuerySet
 from ..search.astar import a_star
@@ -45,6 +45,9 @@ class GlobalCacheAnswerer:
         self.cache: Optional[PathCache] = None
         self.build_seconds = 0.0
         self.build_visited = 0
+        #: The A* answer of every log query :meth:`build` searched, tagged
+        #: with the graph version it ran at.
+        self.searched: Optional[ComputedPaths] = None
 
     # ------------------------------------------------------------------
     def build(self, log: QuerySet) -> PathCache:
@@ -52,10 +55,12 @@ class GlobalCacheAnswerer:
         start = time.perf_counter()
         staging = PathCache(self.graph, capacity_bytes=None)
         paths: List[List[int]] = []
+        self.searched = ComputedPaths(self.graph.version)
         for q in log:
             if staging.lookup(q.source, q.target) is not None:
                 continue
             result = a_star(self.graph, q.source, q.target)
+            self.searched.results[(q.source, q.target)] = result
             self.build_visited += result.visited
             if result.found:
                 staging.insert(result.path)

@@ -22,14 +22,15 @@ name         decomposition                      answering
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import ConfigurationError
+from ..network.grid import GridIndex, auto_levels
 from ..queries.query import QuerySet
 from .coclustering import CoClusteringDecomposer
 from .local_cache import LocalCacheAnswerer
 from .r2r import RegionToRegionAnswerer
-from .results import BatchAnswer
+from .results import BatchAnswer, ComputedPaths
 from .search_space import SearchSpaceDecomposer
 from .zigzag import ZigzagDecomposer
 
@@ -57,8 +58,11 @@ class BatchProcessor:
         The road network.
     cache_bytes:
         Per-cache byte budget for the local-cache methods; when ``None``
-        it is taken from a Global Cache built on the same batch (the
-        paper's |GC| protocol).
+        it is taken from a Global Cache built on the batch's first
+        ``log_fraction`` (the paper's |GC| protocol).  The serial local-
+        cache pipelines reuse the answers of those sizing searches, so
+        they search each query at most once; ``workers > 1`` answers in
+        worker processes, which search their misses afresh.
     eta:
         Error bound for co-clustering and R2R.
     delta:
@@ -115,6 +119,9 @@ class BatchProcessor:
         #: Extra :class:`repro.parallel.ParallelBatchEngine` kwargs
         #: (retry_policy, fault_plan, unit_timeout, breaker...).
         self.engine_options = dict(engine_options or {})
+        #: ``(graph.version, grid)`` of the SSE grid, built on first use:
+        #: its cell summaries read edge weights, so a mutation rebuilds it.
+        self._grid_at: Optional[Tuple[int, GridIndex]] = None
 
     # ------------------------------------------------------------------
     def process(self, queries: QuerySet, method: str) -> BatchAnswer:
@@ -174,28 +181,38 @@ class BatchProcessor:
         }
 
     # ------------------------------------------------------------------
-    def _resolve_cache_bytes(self, queries: QuerySet) -> int:
-        """The paper's |GC| protocol: size the local caches like a GC build."""
+    def _resolve_cache_bytes(self, queries: QuerySet) -> Tuple[int, Optional[ComputedPaths]]:
+        """The paper's |GC| protocol: size the local caches like a GC build.
+
+        Returns the byte budget and the answers of the searches the build
+        ran (``None`` when the budget is fixed and nothing was searched).
+        """
         from ..baselines.global_cache import GlobalCacheAnswerer, split_log_and_stream
 
         if self.cache_bytes is not None:
-            return self.cache_bytes
+            return self.cache_bytes, None
         log, _ = split_log_and_stream(queries, self.log_fraction)
         gc = GlobalCacheAnswerer(self.graph)
         gc.build(log)
-        return max(gc.cache_bytes, 1)
+        return max(gc.cache_bytes, 1), gc.searched
+
+    def _sse_grid(self) -> GridIndex:
+        graph = self.graph
+        if self._grid_at is None or self._grid_at[0] != graph.version:
+            self._grid_at = (graph.version, GridIndex(graph, levels=auto_levels(graph)))
+        return self._grid_at[1]
 
     def _decomposer(self, kind: str):
         if kind == "zigzag":
             return ZigzagDecomposer(self.graph, delta=self.delta)
         if kind == "sse":
-            return SearchSpaceDecomposer(self.graph, delta=self.delta)
+            return SearchSpaceDecomposer(self.graph, delta=self.delta, grid=self._sse_grid())
         if kind == "cocluster":
             return CoClusteringDecomposer(self.graph, eta=self.eta)
         raise ConfigurationError(f"unknown decomposer kind {kind!r}")
 
     def _run_local_cache(self, queries: QuerySet, kind: str, order: str, label: str) -> BatchAnswer:
-        cache_bytes = self._resolve_cache_bytes(queries)
+        cache_bytes, computed = self._resolve_cache_bytes(queries)
         decomposition = self._decomposer(kind).decompose(queries)
         answerer = LocalCacheAnswerer(
             self.graph,
@@ -207,7 +224,7 @@ class BatchProcessor:
         )
         if self.workers > 1 and label in self.PARALLEL_METHODS:
             return self._run_parallel(answerer, decomposition, label)
-        return answerer.answer(decomposition, method=label)
+        return answerer.answer(decomposition, method=label, computed=computed)
 
     def _run_r2r(self, queries: QuerySet, selection: str, label: str) -> BatchAnswer:
         decomposition = self._decomposer("cocluster").decompose(queries)

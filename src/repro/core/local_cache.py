@@ -9,8 +9,11 @@ holding more than one cluster's cache in play.
 Within a cluster, queries are answered longest-first by default
 (observation 2 of Section V-A: long paths enter the cache early and short
 queries hit them).  A miss falls back to A* and the resulting path is
-cached if it fits.  Super-vertex matching is optional and off by default so
-results stay exact.
+cached if it fits.  When the caller passes the answers of searches it has
+already run (the |GC|-sizing searches of
+:class:`~repro.core.batch_runner.BatchProcessor`), a miss takes its answer
+from those instead of searching again.  Super-vertex matching is optional
+and off by default so results stay exact.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from ..search.common import PathResult
 from ..search.dijkstra import batch_dijkstra, np_batch_active, one_to_many
 from .cache import PathCache
 from .clusters import Decomposition, QueryCluster
-from .results import BatchAnswer
+from .results import BatchAnswer, ComputedPaths
 
 ORDERS = ("longest", "random", "given")
 
@@ -58,7 +61,8 @@ class LocalCacheAnswerer:
         singletons go through ``batch_dijkstra`` when the joint numpy
         kernel is active).  Trade-off versus the sequential default: a
         query can no longer hit a path inserted *earlier in the same
-        cluster*, in exchange for answering whole groups per sweep.
+        cluster*, in exchange for answering whole groups per sweep.  This
+        mode searches every miss itself and ignores ``computed``.
     """
 
     def __init__(
@@ -110,8 +114,13 @@ class LocalCacheAnswerer:
         cluster: QueryCluster,
         cache: PathCache,
         rng: Optional[random.Random] = None,
+        computed: Optional[ComputedPaths] = None,
     ) -> List:
-        """Answer one cluster against an existing cache; returns (q, result) pairs."""
+        """Answer one cluster against an existing cache; returns (q, result) pairs.
+
+        A miss takes its answer from ``computed`` when that holds a current
+        one for the query, and runs A* otherwise.
+        """
         if rng is None:
             rng = random.Random(self.seed)
         if self.batch_one_to_many:
@@ -134,7 +143,11 @@ class LocalCacheAnswerer:
                     )
                 )
                 continue
-            result = a_star(self.graph, q.source, q.target)
+            result = None
+            if computed is not None:
+                result = computed.take(self.graph, q.source, q.target)
+            if result is None:
+                result = a_star(self.graph, q.source, q.target)
             if result.found:
                 cache.insert(result.path)
             out.append((q, result))
@@ -203,8 +216,18 @@ class LocalCacheAnswerer:
             out.append((q, result))
         return out
 
-    def answer(self, decomposition: Decomposition, method: Optional[str] = None) -> BatchAnswer:
-        """Answer every cluster of ``decomposition`` with a fresh local cache."""
+    def answer(
+        self,
+        decomposition: Decomposition,
+        method: Optional[str] = None,
+        computed: Optional[ComputedPaths] = None,
+    ) -> BatchAnswer:
+        """Answer every cluster of ``decomposition`` with a fresh local cache.
+
+        ``computed`` holds answers of searches already run for some of the
+        queries (see :meth:`answer_cluster`); the answer is identical with
+        or without it, only the repeated searches are skipped.
+        """
         label = method or f"local-cache[{self.order}]"
         batch = BatchAnswer(
             method=label,
@@ -218,7 +241,7 @@ class LocalCacheAnswerer:
                 cache = PathCache(
                     self.graph, self.cache_bytes, self.super_map, eviction=self.eviction
                 )
-                pairs = self.answer_cluster(cluster, cache, rng)
+                pairs = self.answer_cluster(cluster, cache, rng, computed)
                 batch.answers.extend(pairs)
                 batch.visited += sum(r.visited for _, r in pairs)
                 batch.cache_hits += cache.hits

@@ -97,3 +97,26 @@ class BatchAnswer:
             "cache_mb": self.cache_bytes / (1024.0 * 1024.0),
             "workers": float(self.workers),
         }
+
+
+class ComputedPaths:
+    """A* answers already computed at one ``graph.version``, keyed by
+    ``(source, target)``.
+
+    :meth:`take` hands each answer out at most once, and only while the
+    graph is still at the version it was computed at; the caller searches
+    afresh otherwise.  Searches are deterministic, so a taken answer is
+    exactly what a new ``a_star`` call would return.
+    """
+
+    __slots__ = ("version", "results")
+
+    def __init__(self, version: int) -> None:
+        self.version = version
+        self.results: Dict[Tuple[int, int], PathResult] = {}
+
+    def take(self, graph, source: int, target: int) -> Optional[PathResult]:
+        """Pop the answer for ``(source, target)``; ``None`` when absent or stale."""
+        if graph.version != self.version:
+            return None
+        return self.results.pop((source, target), None)

@@ -66,20 +66,3 @@ class TestStress:
         for q, r in answer.answers[::97]:
             truth = dijkstra(large_env.graph, q.source, q.target).distance
             assert math.isclose(r.distance, truth, rel_tol=1e-12)
-
-    def test_multiprocess_speedup_possible(self, large_env):
-        """The mp runner handles thousands of queries without error."""
-        from repro.analysis.mp_runner import parallel_answer
-        from repro.core import SearchSpaceDecomposer
-
-        batch = large_env.workload.batch(2000, *large_env.cache_band)
-        d = SearchSpaceDecomposer(large_env.graph).decompose(batch)
-        result = parallel_answer(
-            large_env.graph,
-            d,
-            answerer_kwargs={"cache_bytes": 10**6},
-            workers=4,
-            min_queries_per_worker=100,
-        )
-        assert result.answer.num_queries == len(batch)
-        assert result.workers > 1
