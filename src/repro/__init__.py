@@ -54,7 +54,6 @@ from .index import (
     ArcFlags,
     ContractionHierarchy,
     CustomizableContractionHierarchy,
-    GeometricContainers,
     PrunedLandmarkLabeling,
 )
 from .obs import (
@@ -125,7 +124,6 @@ __all__ = [
     "Decomposition",
     "DecompositionError",
     "DynamicBatchSession",
-    "GeometricContainers",
     "GlobalCacheAnswerer",
     "GraphError",
     "GridIndex",

@@ -13,6 +13,11 @@ Timing uses best-of-``rounds`` (minimum) for the customization pass and
 the minimum of the legacy builds for the rebuild — the same "how fast
 can this code go" estimator the other kernel suites use, so scheduler
 noise cannot manufacture a pass either way.
+
+Query latency is informational, with no floor: the same sampled pairs
+through the index, dict-kernel Dijkstra on the live graph, and CSR A*
+on the frozen graph (``query_speedup_vs_astar`` is the index's speedup
+over A*).
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ def run_cch_customize(
     from ..index.cch import CustomizableContractionHierarchy
     from ..index.ch import ContractionHierarchy
     from ..network.generators import beijing_like
+    from ..search.csr_kernels import csr_a_star
     from ..search.dijkstra import dijkstra
 
     failures: List[str] = []
@@ -124,6 +130,8 @@ def run_cch_customize(
     )
 
     # --- query latency (informational) --------------------------------
+    csr = graph.freeze()
+
     def cch_queries() -> None:
         for s, t in pairs:
             cch.query(s, t)
@@ -132,12 +140,19 @@ def run_cch_customize(
         for s, t in pairs:
             dijkstra(graph, s, t)
 
+    def astar_queries() -> None:
+        for s, t in pairs:
+            csr_a_star(csr, s, t)
+
     cch_query_us = _best_of(cch_queries, rounds) / queries * 1e6
     dijkstra_query_us = _best_of(dijkstra_queries, rounds) / queries * 1e6
+    astar_query_us = _best_of(astar_queries, rounds) / queries * 1e6
+    speedup_vs_astar = astar_query_us / max(cch_query_us, 1e-9)
     lines.append(
         f"query latency  : cch {cch_query_us:.0f} us, "
         f"dijkstra {dijkstra_query_us:.0f} us "
-        f"({dijkstra_query_us / max(cch_query_us, 1e-9):.1f}x)"
+        f"({dijkstra_query_us / max(cch_query_us, 1e-9):.1f}x), "
+        f"csr a* {astar_query_us:.0f} us ({speedup_vs_astar:.1f}x)"
     )
 
     if speedup < min_speedup:
@@ -161,6 +176,11 @@ def run_cch_customize(
                                tolerance_pct=60.0),
         "dijkstra_query_us": Metric(dijkstra_query_us, unit="us", kind="time",
                                     tolerance_pct=60.0),
+        "astar_query_us": Metric(astar_query_us, unit="us", kind="time",
+                                 tolerance_pct=60.0),
+        "query_speedup_vs_astar": Metric(speedup_vs_astar, kind="ratio",
+                                         direction="higher",
+                                         tolerance_pct=60.0),
         "budget_failures": Metric(float(len(failures)), kind="info"),
     }
     return CchOutcome(metrics=metrics, rendered="\n".join(lines),

@@ -50,9 +50,8 @@ class IndexConstructionError(ReproError):
 class StaleIndexError(ReproError):
     """An index was queried after the underlying network mutated.
 
-    Snapshot indexes (:class:`~repro.index.ch.ContractionHierarchy`,
-    :class:`~repro.index.containers.GeometricContainers`) price their
-    structure at build time; serving a query after ``graph.version``
+    Snapshot indexes (:class:`~repro.index.ch.ContractionHierarchy`)
+    price their structure at build time; serving a query after ``graph.version``
     moved on would silently return pre-mutation distances.  They raise
     this instead — call ``rebuild()``, or use the customizable index
     (:class:`~repro.index.cch.CustomizableContractionHierarchy`), which

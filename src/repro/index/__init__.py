@@ -1,4 +1,4 @@
-"""Index-based comparators: CH, CCH, PLL, Arc-Flags, Geometric Containers.
+"""Index-based comparators: CH, CCH, PLL, Arc-Flags.
 
 Built to make Figure 8's argument measurable: every one of these answers
 queries fast but takes orders of magnitude longer to (re)construct than
@@ -13,14 +13,12 @@ so a weight epoch re-prices shortcuts instead of rebuilding.
 from .arcflags import ArcFlags, grid_regions
 from .cch import CustomizableContractionHierarchy
 from .ch import ContractionHierarchy
-from .containers import GeometricContainers
 from .pll import PrunedLandmarkLabeling
 
 __all__ = [
     "ArcFlags",
     "ContractionHierarchy",
     "CustomizableContractionHierarchy",
-    "GeometricContainers",
     "PrunedLandmarkLabeling",
     "grid_regions",
 ]

@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import time
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import IndexConstructionError, StaleIndexError
 from ..obs import record_customize
@@ -72,6 +72,9 @@ class CustomizableContractionHierarchy:
         query raises :class:`~repro.exceptions.StaleIndexError` instead
         (the legacy index's contract, for callers that must control
         exactly when customization cost is paid).
+
+    Queries share per-index scratch arrays, so one index answers one
+    query at a time (like the CSR kernels' per-snapshot scratch).
     """
 
     def __init__(self, graph, auto_customize: bool = True) -> None:
@@ -140,32 +143,45 @@ class CustomizableContractionHierarchy:
 
         # Super-edge numbering: edges of the chordal supergraph, id'd in
         # contraction order of their lower-ranked endpoint.  ``up[eid]``
-        # prices the arc lo->hi, ``down[eid]`` the arc hi->lo.
+        # prices the arc lo->hi, ``down[eid]`` the arc hi->lo;
+        # ``tail[eid]``/``head[eid]`` name lo and hi.
         by_rank = sorted(range(n), key=rank.__getitem__)
         pair_eid: Dict[Tuple[int, int], int] = {}
         adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         tails: List[int] = []
+        heads: List[int] = []
         for v in by_rank:
             for u in up_nbrs[v]:
                 eid = len(tails)
                 pair_eid[(v, u)] = eid
                 adj[v].append((u, eid))
                 tails.append(v)
+                heads.append(u)
         self._pair_eid = pair_eid
         self._adj = adj
+        self._tail = tails
+        self._head = heads
         self.num_super_edges = len(tails)
+        # Query scratch, index-addressed by vertex.  A search leaves every
+        # distance back at +inf (reset through its touched lists); parent
+        # edge ids are only read along the chain a search just wrote.
+        self._dist_f: List[float] = [math.inf] * n
+        self._dist_b: List[float] = [math.inf] * n
+        self._par_f: List[int] = [-1] * n
+        self._par_b: List[int] = [-1] * n
 
-        # Lower triangles (v; a, b) with rank v < rank a < rank b, sorted
-        # by rank of v: processing them in list order guarantees both
-        # lower legs (v,a) and (v,b) are final when the triangle relaxes
-        # (a,b) — the bottom-up customization invariant.
-        triangles: List[Tuple[int, int, int, int]] = []
+        # Lower triangles (v; a, b) with rank v < rank a < rank b, stored
+        # as super-edge ids (ab, va, vb) and sorted by rank of v:
+        # processing them in list order guarantees both lower legs (v,a)
+        # and (v,b) are final when the triangle relaxes (a,b) — the
+        # bottom-up customization invariant.
+        triangles: List[Tuple[int, int, int]] = []
         for v in by_rank:
             neigh = sorted(up_nbrs[v], key=rank.__getitem__)
             for i, a in enumerate(neigh):
                 va = pair_eid[(v, a)]
                 for b in neigh[i + 1:]:
-                    triangles.append((pair_eid[(a, b)], va, pair_eid[(v, b)], v))
+                    triangles.append((pair_eid[(a, b)], va, pair_eid[(v, b)]))
         self._triangles = triangles
         self.num_triangles = len(triangles)
         self.order_builds += 1
@@ -195,17 +211,23 @@ class CustomizableContractionHierarchy:
                 )
         up = self._up
         down = self._down
-        up_mid = self._up_mid
-        down_mid = self._down_mid
-        for ab, va, vb, v in self._triangles:
+        up_first = self._up_first
+        up_second = self._up_second
+        down_first = self._down_first
+        down_second = self._down_second
+        for ab, va, vb in self._triangles:
+            # a->b via v: down-arc a->v (leg va), then up-arc v->b (leg vb).
             c = down[va] + up[vb]
             if c < up[ab]:
                 up[ab] = c
-                up_mid[ab] = v
+                up_first[ab] = va
+                up_second[ab] = vb
+            # b->a via v: down-arc b->v (leg vb), then up-arc v->a (leg va).
             c = down[vb] + up[va]
             if c < down[ab]:
                 down[ab] = c
-                down_mid[ab] = v
+                down_first[ab] = vb
+                down_second[ab] = va
         self.customized_version = self.graph.version
         self.customizations += 1
         self.customize_seconds = time.perf_counter() - start
@@ -244,10 +266,13 @@ class CustomizableContractionHierarchy:
                     down[eid] = w
         self._up = up
         self._down = down
-        #: Middle vertex per direction (-1 = the original arc survives),
-        #: recorded on strict improvement for recursive unpacking.
-        self._up_mid = [-1] * m
-        self._down_mid = [-1] * m
+        #: Leg super-edge ids per direction (-1 = the original arc
+        #: survives), recorded on strict improvement for unpacking.  The
+        #: first leg is a down-arc, the second an up-arc; see customize().
+        self._up_first = [-1] * m
+        self._up_second = [-1] * m
+        self._down_first = [-1] * m
+        self._down_second = [-1] * m
         return True
 
     # ------------------------------------------------------------------
@@ -285,8 +310,16 @@ class CustomizableContractionHierarchy:
             )
 
     def distance(self, source: int, target: int) -> float:
-        """Exact shortest distance (auto-customizes when stale)."""
-        return self.query(source, target).distance
+        """Exact shortest distance (auto-customizes when stale).
+
+        Folds the unpacked arcs' weights without building the path, so
+        it returns exactly ``query(source, target).distance``.
+        """
+        self._check_current()
+        meet, _ = self._search(source, target)
+        if meet < 0:
+            return math.inf
+        return self._unpack(self._packed(source, target, meet), None)
 
     def query(self, source: int, target: int) -> PathResult:
         """Exact :class:`PathResult` with the unpacked original-arc path.
@@ -297,100 +330,152 @@ class CustomizableContractionHierarchy:
         the shortest path is unique.
         """
         self._check_current()
-        best, meet, par_f, par_b, visited = self._search(source, target)
+        meet, visited = self._search(source, target)
         if meet < 0:
             return PathResult(source, target, math.inf, [], visited)
-        packed_f = [meet]
-        v = meet
-        while v != source:
-            v = par_f[v]
-            packed_f.append(v)
-        packed_f.reverse()
-        v = meet
-        packed_b = []
-        while v != target:
-            v = par_b[v]
-            packed_b.append(v)
         path = [source]
-        for x, y in zip(packed_f, packed_f[1:]):
-            self._expand_arc(x, y, path)
-        for x, y in zip([meet] + packed_b, packed_b):
-            self._expand_arc(x, y, path)
-        distance = self.graph.path_prefix_weights(path)[-1]
+        distance = self._unpack(self._packed(source, target, meet), path)
         return PathResult(source, target, distance, path, visited)
 
-    def _search(self, source: int, target: int):
-        """Bidirectional upward search over the customized supergraph."""
+    def _search(self, source: int, target: int) -> Tuple[int, int]:
+        """Bidirectional upward search over the customized supergraph.
+
+        Returns ``(meet, visited)`` with ``meet = -1`` when no up-down
+        path exists, and leaves the parent edge ids of both search trees
+        in the scratch arrays for :meth:`_packed`.  Pushes happen only on
+        strict improvement, so a heap entry whose key exceeds its
+        vertex's distance is stale; a direction stops once its minimum
+        exceeds the best meeting distance, and no relaxation beyond it
+        is recorded (no such entry could settle or improve the answer).
+        """
+        inf = math.inf
         up = self._up
         down = self._down
         adj = self._adj
-        dist_f: Dict[int, float] = {source: 0.0}
-        dist_b: Dict[int, float] = {target: 0.0}
-        par_f: Dict[int, int] = {}
-        par_b: Dict[int, int] = {}
+        dist_f = self._dist_f
+        dist_b = self._dist_b
+        par_f = self._par_f
+        par_b = self._par_b
+        dist_f[source] = 0.0
+        dist_b[target] = 0.0
+        touched_f = [source]
+        touched_b = [target]
         heap_f: List[Tuple[float, int]] = [(0.0, source)]
         heap_b: List[Tuple[float, int]] = [(0.0, target)]
-        done_f: set = set()
-        done_b: set = set()
-        best = math.inf
+        best = inf
         meet = -1
         visited = 0
-        while heap_f or heap_b:
-            if heap_f and (not heap_b or heap_f[0][0] <= heap_b[0][0]):
-                d, u = heappop(heap_f)
-                if u in done_f or d > best:
-                    continue
-                done_f.add(u)
-                visited += 1
-                if u in dist_b and d + dist_b[u] < best:
-                    best = d + dist_b[u]
-                    meet = u
-                for v, eid in adj[u]:
-                    nd = d + up[eid]
-                    if nd < dist_f.get(v, math.inf):
-                        dist_f[v] = nd
-                        par_f[v] = u
-                        heappush(heap_f, (nd, v))
-            elif heap_b:
-                d, u = heappop(heap_b)
-                if u in done_b or d > best:
-                    continue
-                done_b.add(u)
-                visited += 1
-                if u in dist_f and d + dist_f[u] < best:
-                    best = d + dist_f[u]
-                    meet = u
-                for v, eid in adj[u]:
-                    nd = d + down[eid]
-                    if nd < dist_b.get(v, math.inf):
-                        dist_b[v] = nd
-                        par_b[v] = u
-                        heappush(heap_b, (nd, v))
-        return best, meet, par_f, par_b, visited
+        try:
+            while True:
+                if heap_f and heap_f[0][0] > best:
+                    heap_f = []
+                if heap_b and heap_b[0][0] > best:
+                    heap_b = []
+                if heap_f and (not heap_b or heap_f[0][0] <= heap_b[0][0]):
+                    d, u = heappop(heap_f)
+                    if d > dist_f[u]:
+                        continue
+                    visited += 1
+                    c = d + dist_b[u]
+                    if c < best:
+                        best = c
+                        meet = u
+                    for v, eid in adj[u]:
+                        nd = d + up[eid]
+                        if nd < dist_f[v] and nd <= best:
+                            if dist_f[v] == inf:
+                                touched_f.append(v)
+                            dist_f[v] = nd
+                            par_f[v] = eid
+                            heappush(heap_f, (nd, v))
+                elif heap_b:
+                    d, u = heappop(heap_b)
+                    if d > dist_b[u]:
+                        continue
+                    visited += 1
+                    c = d + dist_f[u]
+                    if c < best:
+                        best = c
+                        meet = u
+                    for v, eid in adj[u]:
+                        nd = d + down[eid]
+                        if nd < dist_b[v] and nd <= best:
+                            if dist_b[v] == inf:
+                                touched_b.append(v)
+                            dist_b[v] = nd
+                            par_b[v] = eid
+                            heappush(heap_b, (nd, v))
+                else:
+                    return meet, visited
+        finally:
+            for v in touched_f:
+                dist_f[v] = inf
+            for v in touched_b:
+                dist_b[v] = inf
 
-    def _expand_arc(self, x: int, y: int, out: List[int]) -> None:
-        """Append the original-arc path of super-arc ``x -> y`` after ``x``.
+    def _packed(self, source: int, target: int, meet: int) -> List[int]:
+        """Super-arcs of the last search's up-down path, source to target.
 
-        Iterative (explicit stack): unpacked paths can be hundreds of
-        arcs long at the larger scales, and recursion depth tracks path
-        length.
+        An up-arc is its super-edge id ``eid``, a down-arc ``~eid``.
         """
-        rank = self.rank
-        pair_eid = self._pair_eid
-        up_mid = self._up_mid
-        down_mid = self._down_mid
-        stack = [(x, y)]
+        tail = self._tail
+        par_f = self._par_f
+        par_b = self._par_b
+        packed: List[int] = []
+        v = meet
+        while v != source:
+            eid = par_f[v]
+            packed.append(eid)
+            v = tail[eid]
+        packed.reverse()
+        v = meet
+        while v != target:
+            eid = par_b[v]
+            packed.append(~eid)
+            v = tail[eid]
+        return packed
+
+    def _unpack(self, packed: List[int], out: Optional[List[int]]) -> float:
+        """Fold the original-arc weights of ``packed`` left to right.
+
+        Each shortcut expands into its two recorded leg arcs until only
+        original arcs (whose customized weight is the arc's own weight)
+        remain, so the fold is exactly the weight sum Dijkstra and
+        ``path_prefix_weights`` compute along the same path.  When
+        ``out`` is a list, each arc's head vertex is appended to it.
+        """
+        up = self._up
+        down = self._down
+        up_first = self._up_first
+        up_second = self._up_second
+        down_first = self._down_first
+        down_second = self._down_second
+        head = self._head
+        tail = self._tail
+        total = 0.0
+        stack = packed[::-1]
         while stack:
-            a, b = stack.pop()
-            if rank[a] < rank[b]:
-                mid = up_mid[pair_eid[(a, b)]]
+            arc = stack.pop()
+            if arc >= 0:
+                leg = up_first[arc]
+                if leg < 0:
+                    total += up[arc]
+                    if out is not None:
+                        out.append(head[arc])
+                else:
+                    stack.append(up_second[arc])
+                    stack.append(~leg)
             else:
-                mid = down_mid[pair_eid[(b, a)]]
-            if mid < 0:
-                out.append(b)
-            else:
-                stack.append((mid, b))
-                stack.append((a, mid))
+                eid = ~arc
+                leg = down_first[eid]
+                if leg < 0:
+                    total += down[eid]
+                    if out is not None:
+                        out.append(tail[eid])
+                else:
+                    stack.append(down_second[eid])
+                    stack.append(~leg)
+        return total
 
     # ------------------------------------------------------------------
     def shortcut_weights(self) -> Tuple[List[float], List[float]]:

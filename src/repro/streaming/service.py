@@ -726,12 +726,12 @@ class StreamingQueryService:
     def _backend_deadline(
         self, missed: List[TimedQuery]
     ) -> Optional[Deadline]:
-        """Arm a real-monotonic deadline covering the tightest query budget.
+        """Arm a deadline covering the tightest query budget.
 
-        Stream-clock budgets do not transfer to the backend's wall-clock
-        searches directly; the window gets the smallest remaining budget
-        re-armed against real time, which bounds how long any cooperative
-        kernel may run before the check cuts it off.
+        The window gets the smallest remaining budget, armed on the
+        service clock: a real clock bounds how long any cooperative
+        kernel may run before the check cuts it off, and a simulated
+        clock makes expiry a function of the input, not of host load.
         """
         if self.query_deadline_seconds is None or not missed:
             return None
@@ -739,7 +739,7 @@ class StreamingQueryService:
         budget = min(
             tq.arrival + self.query_deadline_seconds - now for tq in missed
         )
-        return Deadline(budget)
+        return Deadline(budget, clock=self.clock.now)
 
     def _dead_letter_deadline(
         self, tq: TimedQuery, report: StreamReport, detail: str
@@ -794,7 +794,7 @@ class StreamingQueryService:
                 kept.append(letter)
                 continue
             try:
-                with use_deadline(Deadline(remaining)):
+                with use_deadline(Deadline(remaining, clock=self.clock.now)):
                     result = dijkstra(
                         self.graph, letter.source, letter.target
                     )

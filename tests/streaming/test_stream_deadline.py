@@ -1,6 +1,8 @@
 """Per-query deadlines in the streaming service: storm, degrade, accounting."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -58,6 +60,41 @@ class TestDeadlineStorm:
         b = run_service(graph, stream, **kwargs)
         assert a.deadline_expired == b.deadline_expired
         assert a.answered_queries == b.answered_queries
+
+    def test_storm_is_reproducible_under_host_load(self, graph, stream):
+        # Under the simulated clock a deadline must expire on simulated
+        # time only: a CPU-burner thread stealing the interpreter from the
+        # searches must not change which queries expire.
+        kwargs = dict(query_deadline_seconds=0.3, service_seconds_per_query=0.1)
+
+        def outcome():
+            report = run_service(graph, stream, **kwargs)
+            letters = [(d.source, d.target, d.reason) for d in report.dead_letters]
+            return report.deadline_expired, report.answered_queries, letters
+
+        quiet = outcome()
+        stop = threading.Event()
+
+        def burn():
+            x = 0
+            while not stop.is_set():
+                for i in range(10_000):
+                    x ^= i * i
+
+        # A long switch interval lets the burner hold the interpreter for
+        # whole slices, so every search window stretches in real time.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(0.05)
+        burner = threading.Thread(target=burn, daemon=True)
+        burner.start()
+        try:
+            loaded = [outcome(), outcome()]
+        finally:
+            stop.set()
+            burner.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not burner.is_alive()
+        assert loaded == [quiet, quiet]
 
     def test_generous_deadline_answers_everything(self, graph, stream):
         report = run_service(graph, stream, query_deadline_seconds=3600.0)
